@@ -18,6 +18,7 @@
 // partials, l = k_max + oversample, independent of N).
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -35,9 +36,21 @@
 
 int main(int argc, char** argv) {
   tsc::FlagParser flags(argc, argv);
-  const std::size_t rows =
-      static_cast<std::size_t>(flags.GetInt("rows", 20000));
-  const std::size_t cols = static_cast<std::size_t>(flags.GetInt("cols", 366));
+  // Dataset sizes must be positive: the generator CHECK-aborts on zero,
+  // and a negative value would wrap to an enormous size_t.
+  const std::int64_t rows_flag = flags.GetInt("rows", 20000);
+  const std::int64_t cols_flag = flags.GetInt("cols", 366);
+  const std::int64_t rand_rows_flag = flags.GetInt("rand_rows", rows_flag);
+  const std::int64_t rand_cols_flag = flags.GetInt("rand_cols", cols_flag);
+  if (rows_flag < 1 || cols_flag < 1 || rand_rows_flag < 1 ||
+      rand_cols_flag < 1) {
+    std::fprintf(stderr,
+                 "usage: build_scaling: --rows, --cols, --rand_rows and "
+                 "--rand_cols must be positive integers\n");
+    return 2;
+  }
+  const std::size_t rows = static_cast<std::size_t>(rows_flag);
+  const std::size_t cols = static_cast<std::size_t>(cols_flag);
   const double space = flags.GetDouble("space", 10.0);
   const std::size_t max_candidates =
       static_cast<std::size_t>(flags.GetInt("max_candidates", 16));
@@ -195,10 +208,8 @@ int main(int argc, char** argv) {
   // gap is the pass-1 swap: O(N*M^2) similarity accumulation vs the
   // O(N*M*l) streaming sketch (l = k_max + oversample << M).
   {
-    const std::size_t rand_rows =
-        static_cast<std::size_t>(flags.GetInt("rand_rows", rows));
-    const std::size_t rand_cols =
-        static_cast<std::size_t>(flags.GetInt("rand_cols", cols));
+    const std::size_t rand_rows = static_cast<std::size_t>(rand_rows_flag);
+    const std::size_t rand_cols = static_cast<std::size_t>(rand_cols_flag);
     const double rand_space = flags.GetDouble("rand_space", 1.0);
     const std::size_t rand_candidates =
         static_cast<std::size_t>(flags.GetInt("rand_candidates", 2));

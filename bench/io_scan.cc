@@ -138,11 +138,6 @@ ScanResult ColdBatchedProbes(const std::string& path, IoBackendKind kind,
   return result;
 }
 
-std::string Mb(double bytes, double seconds) {
-  return tsc::TablePrinter::Num(bytes / (1024.0 * 1024.0) /
-                                (seconds > 0 ? seconds : 1e-9));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -439,7 +439,6 @@ int main(int argc, char** argv) {
     tsc::TablePrinter quant_table({"u encoding", "u file KB", "bytes/row",
                                    "cache hit%", "Mcells/s", "vs f64",
                                    "max err"});
-    std::uint64_t f64_u_bytes = 0;
     std::size_t cache_blocks = 0;
     std::size_t f64_k = 0;
     double f64_qps = 0.0;
@@ -471,7 +470,6 @@ int main(int argc, char** argv) {
           *qmodel, std::string("throughput_") + name, opts);
       if (scheme == tsc::QuantScheme::kF64) {
         f64_k = qmodel->k();
-        f64_u_bytes = qtemp.store().u_file_bytes();
         // Shared budget sized so the int8 U store just fits: the paper's
         // "keep the working set resident" regime, which the narrow
         // encodings reach and the wide ones miss.

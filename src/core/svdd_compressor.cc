@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -29,9 +28,8 @@ constexpr std::uint32_t kSvddModelMagic = 0x53564444;  // "SVDD"
 
 /// Heap key for pass 2: squared error with the cell id as tie-break, a
 /// strict total order. The global "top gamma_k cells" set is therefore
-/// unique, which is what makes the sharded heaps + merge deterministic:
-/// however the shards split the stream, sorting the union under this
-/// order and truncating recovers exactly that set.
+/// unique, which is what makes the selection deterministic: whatever
+/// order the cells are offered in, the selector retains exactly that set.
 struct CellErr {
   double err2;
   std::uint64_t cell;  ///< row-major cell key; unique per cell
@@ -48,15 +46,6 @@ void CountBloomFalsePositive() {
   static obs::Counter& false_positives =
       obs::MetricRegistry::Default().GetCounter("bloom.false_positives");
   false_positives.Increment();
-}
-
-/// Lock-free monotonic max for the shared pass-2 pruning threshold.
-void UpdateMax(std::atomic<double>& target, double value) {
-  double current = target.load(std::memory_order_relaxed);
-  while (current < value &&
-         !target.compare_exchange_weak(current, value,
-                                       std::memory_order_relaxed)) {
-  }
 }
 
 /// Evenly spaced candidate cut-offs in [1, k_max], always including both
@@ -482,14 +471,17 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
   // Pass 2: per-candidate bounded queues of the worst cells + epsilon_k.
   //
   // Rows are dealt to kBuildShards shards (row % kBuildShards). Each shard
-  // keeps its own top-gamma_k selector per candidate k and its own
-  // compensated SSE partial, so no locks are taken on the hot path. A
-  // shared atomic threshold per candidate — the largest top-gamma_k
-  // cutoff any shard has published — lets shards skip cells that
-  // provably cannot make the global top gamma_k, keeping total retained
-  // entries near gamma_k instead of kBuildShards * gamma_k.
+  // keeps its own compensated SSE partials and, per candidate k, stages
+  // the chunk's cells whose error reaches that candidate's pruning bound;
+  // no locks are taken on the hot path. Between chunks one top-gamma_k
+  // selector per candidate absorbs the staged cells in shard order, and
+  // its cutoff (the gamma_k-th largest error at its last compaction, a
+  // lower bound on the global gamma_k-th largest) becomes the next
+  // chunk's bound. Retained entries stay within 1.25 * sum(gamma_k) plus
+  // one chunk's staging, and every bound is a function of the row stream
+  // alone, so the retained sets do not depend on thread timing.
   // ---------------------------------------------------------------------
-  using OutlierHeap = BoundedTopSelector<CellErr, double>;  // value = err
+  using OutlierSelector = BoundedTopSelector<CellErr, double>;  // value = err
   // The per-candidate SSE is split over four interleaved Kahan lanes
   // (cell j feeds lane j % 4, folded in lane order afterwards): a single
   // compensated accumulator is a 4-add serial dependency chain per cell
@@ -498,26 +490,39 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
   // count.
   constexpr std::size_t kSseLanes = 4;
   using LaneSum = std::array<KahanSum, kSseLanes>;
+  // A staged cell carries its signed error; the feed squares it again,
+  // bit-identically, which keeps staging at 16 bytes per cell.
+  struct StagedCell {
+    std::uint64_t cell;
+    double err;
+  };
   struct Pass2Shard {
-    std::vector<OutlierHeap> queues;      // one per candidate k
+    // Cells of the current chunk that reached the bound, per candidate k.
+    std::vector<std::vector<StagedCell>> staged;
     std::vector<LaneSum> sse;             // one per candidate k
     std::vector<double> projection;       // scratch: x_i . v_p
     std::vector<double> ucoef;            // scratch: quantized-U preview
     std::vector<double> recon;            // scratch: running recon of a row
     std::vector<double> err2;             // scratch: squared errors of a row
-    std::vector<std::size_t> publish_at;  // next early-fractile watermark
   };
   std::vector<Pass2Shard> shards(kBuildShards);
   for (Pass2Shard& shard : shards) {
-    shard.queues.reserve(num_candidates);
-    for (std::size_t ci = 0; ci < num_candidates; ++ci) {
-      shard.queues.emplace_back(static_cast<std::size_t>(gamma[ci]));
-    }
+    shard.staged.resize(num_candidates);
     shard.sse.resize(num_candidates);
     shard.projection.resize(k_max);
     shard.ucoef.resize(k_max);
     shard.recon.resize(m);
     shard.err2.resize(m);
+  }
+  std::vector<OutlierSelector> selectors;
+  selectors.reserve(num_candidates);
+  // Pruning bounds. A zero-allowance candidate retains nothing, so every
+  // cell can be skipped for it outright.
+  std::vector<double> bound(num_candidates);
+  for (std::size_t ci = 0; ci < num_candidates; ++ci) {
+    selectors.emplace_back(static_cast<std::size_t>(gamma[ci]));
+    bound[ci] = gamma[ci] == 0 ? std::numeric_limits<double>::infinity()
+                               : -std::numeric_limits<double>::infinity();
   }
   // Component-major copy of V so the hot loops below run on contiguous
   // rows (kernels::Dot / kernels::Axpy) instead of striding column-wise
@@ -526,51 +531,8 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
   for (std::size_t p = 0; p < k_max; ++p) {
     for (std::size_t l = 0; l < m; ++l) vt(p, l) = v(l, p);
   }
-  // Pruning bounds. A zero-allowance candidate retains nothing, so every
-  // offer to it can be skipped outright.
-  std::vector<std::atomic<double>> thresholds(num_candidates);
-  for (std::size_t ci = 0; ci < num_candidates; ++ci) {
-    thresholds[ci].store(gamma[ci] == 0
-                             ? std::numeric_limits<double>::infinity()
-                             : -std::numeric_limits<double>::infinity(),
-                         std::memory_order_relaxed);
-  }
-  // Collective bound (distributed top-k fractile combining). A shard's
-  // own cutoff is its LOCAL gamma_k-th largest error, which with evenly
-  // dealt rows approximates the global (kBuildShards * gamma_k)-th
-  // largest — a loose bound that lets ~kBuildShards times too many cells
-  // through. Instead each shard also publishes its ceil(gamma_k /
-  // kBuildShards)-th largest retained error: every shard has at least
-  // that many cells at or above its publication, so at least
-  // kBuildShards * ceil(gamma_k / kBuildShards) >= gamma_k cells sit at
-  // or above the MINIMUM publication across shards. That minimum is
-  // therefore a valid lower bound on the global gamma_k-th largest error
-  // (any cell strictly below it is outranked by >= gamma_k cells), and
-  // it tracks the true global cutoff closely. Publications are
-  // per-shard slots (single writer each) and only ever increase, so
-  // stale reads just weaken the bound — pruning stays conservative and
-  // the final exact merge keeps the result timing-independent.
-  std::vector<std::size_t> fractile_rank(num_candidates);
-  for (std::size_t ci = 0; ci < num_candidates; ++ci) {
-    fractile_rank[ci] =
-        static_cast<std::size_t>((gamma[ci] + kBuildShards - 1) /
-                                 kBuildShards);
-  }
-  std::vector<std::array<std::atomic<double>, kBuildShards>> fractile(
-      num_candidates);
-  for (auto& per_shard : fractile) {
-    for (auto& slot : per_shard) {
-      slot.store(-std::numeric_limits<double>::infinity(),
-                 std::memory_order_relaxed);
-    }
-  }
-  // A shard can publish its fractile as soon as it RETAINS
-  // fractile_rank entries — long before its first compaction (which
-  // needs gamma_k + slack offers). Publishing early, at doubling
-  // buffer-size watermarks, activates the collective bound after
-  // roughly gamma_k total offers instead of kBuildShards * gamma_k,
-  // which is where most of the unpruned startup offers went.
-  for (Pass2Shard& shard : shards) shard.publish_at = fractile_rank;
+  std::vector<std::size_t> staged_count(num_candidates);
+  std::size_t peak_staged = 0;
 
   phase.emplace("svdd.pass2");
   TSC_RETURN_IF_ERROR(ForEachRowChunk(
@@ -625,56 +587,48 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
                 shard.err2[j] = e2;
                 sse[j % kSseLanes].Add(e2);
               }
-              // One threshold read per row: the bound only tightens, so
-              // a slightly stale value just means a few extra appends.
-              const double bound =
-                  thresholds[ci].load(std::memory_order_relaxed);
-              bool tightened = false;
+              std::vector<StagedCell>& staged = shard.staged[ci];
               for (std::size_t j = 0; j < m; ++j) {
-                // Strictly below the published bound means at least
-                // gamma_k cells already beat this one — skip. (Ties must
-                // be offered: the tie-break may rank them above the
-                // bound's owner.)
-                if (!(shard.err2[j] < bound)) {
-                  tightened |= shard.queues[ci].Offer(
-                      CellErr{shard.err2[j], DeltaTable::CellKey(i, j, m)},
-                      row[j] - shard.recon[j]);
+                // Strictly below the bound means at least gamma_k cells
+                // already beat this one — skip. (Ties must be staged:
+                // the tie-break may rank them above the bound's owner.)
+                if (!(shard.err2[j] < bound[ci])) {
+                  staged.push_back(StagedCell{DeltaTable::CellKey(i, j, m),
+                                              row[j] - shard.recon[j]});
                 }
-              }
-              OutlierHeap& queue = shard.queues[ci];
-              if (tightened) {
-                UpdateMax(thresholds[ci], queue.Cutoff().err2);
-              }
-              if (fractile_rank[ci] > 0 &&
-                  (tightened || queue.size() >= shard.publish_at[ci]) &&
-                  queue.size() >= fractile_rank[ci]) {
-                // Publish this shard's fractile, then fold the collective
-                // minimum back into the shared threshold (a no-op until
-                // every shard has published at least once). Valid at any
-                // buffer size >= the rank: the buffer always holds a
-                // superset of the shard's true top entries, all of them
-                // genuinely seen.
-                fractile[ci][si].store(
-                    queue.NthLargestKey(fractile_rank[ci]).err2,
-                    std::memory_order_relaxed);
-                shard.publish_at[ci] = queue.size() * 2;
-                double collective = std::numeric_limits<double>::infinity();
-                for (const auto& slot : fractile[ci]) {
-                  collective = std::min(
-                      collective, slot.load(std::memory_order_relaxed));
-                }
-                UpdateMax(thresholds[ci], collective);
               }
             }
           }
         });
+        // Feed each candidate's selector in shard order and tighten its
+        // bound for the next chunk.
+        ParallelFor(pool.get(), num_candidates, [&](std::size_t ci) {
+          OutlierSelector& selector = selectors[ci];
+          staged_count[ci] = 0;
+          for (Pass2Shard& shard : shards) {
+            std::vector<StagedCell>& staged = shard.staged[ci];
+            staged_count[ci] += staged.size();
+            for (const StagedCell& c : staged) {
+              selector.Offer(CellErr{c.err * c.err, c.cell}, c.err);
+            }
+            staged.clear();
+          }
+          if (selector.HasCutoff()) bound[ci] = selector.Cutoff().err2;
+        });
+        std::size_t chunk_staged = 0;
+        for (const std::size_t c : staged_count) chunk_staged += c;
+        peak_staged = std::max(peak_staged, chunk_staged);
         return Status::Ok();
       }));
-
+  // Upper bound on outlier entries resident at once during the pass:
+  // every selector at its largest plus the largest chunk's staging.
+  std::size_t pass2_peak_entries = peak_staged;
+  for (const OutlierSelector& selector : selectors) {
+    pass2_peak_entries += selector.peak_size();
+  }
   // Deterministic reduction: fold shard SSE partials in shard order, then
-  // merge each candidate's shard queues under the CellErr total order and
-  // truncate to the allowance — exactly the unique global top-gamma_k set,
-  // however the stream was split.
+  // cut each candidate's selector down to its allowance under the
+  // CellErr total order — exactly the unique global top-gamma_k set.
   phase.emplace("svdd.pass2.merge");
   std::vector<double> sse(num_candidates, 0.0);
   for (std::size_t ci = 0; ci < num_candidates; ++ci) {
@@ -684,55 +638,44 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
     }
     sse[ci] = total.value();
   }
-  std::vector<std::vector<OutlierHeap::Entry>> merged(num_candidates);
-  ParallelFor(pool.get(), num_candidates, [&](std::size_t ci) {
-    const auto desc = [](const OutlierHeap::Entry& a,
-                         const OutlierHeap::Entry& b) {
-      return b.key < a.key;  // descending under the total order
-    };
-    std::vector<OutlierHeap::Entry> all;
-    std::size_t union_size = 0;
-    for (const Pass2Shard& shard : shards) {
-      union_size += shard.queues[ci].entries().size();
-    }
-    all.reserve(union_size);
-    for (const Pass2Shard& shard : shards) {
-      const auto& entries = shard.queues[ci].entries();
-      all.insert(all.end(), entries.begin(), entries.end());
-    }
-    // Select the exact top gamma_k in O(union), then canonically order
-    // just the survivors: the descending sort makes the retained vector
-    // — and hence the compensated credit sum below — a pure function of
-    // the retained SET, which is what keeps the model bit-identical
-    // across thread counts. Sorting the whole union first cost more
-    // than the rest of the merge combined.
-    if (all.size() > gamma[ci]) {
-      auto nth = all.begin() + static_cast<std::ptrdiff_t>(gamma[ci]);
-      std::nth_element(all.begin(), nth, all.end(), desc);
-      all.resize(static_cast<std::size_t>(gamma[ci]));
-    }
-    std::sort(all.begin(), all.end(), desc);
-    merged[ci] = std::move(all);
-  });
-
+  shards = {};
   // epsilon_k: SSE left after the affordable outliers are stored exactly.
   // Compensated on both sides; clamped at zero, where the true residual
   // lands when the allowance covers every cell.
-  std::size_t best_ci = 0;
-  double best_eps = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<OutlierSelector::Entry>> top(num_candidates);
   std::vector<double> residual(num_candidates, 0.0);
-  for (std::size_t ci = 0; ci < num_candidates; ++ci) {
+  ParallelFor(pool.get(), num_candidates, [&](std::size_t ci) {
+    const auto desc = [](const OutlierSelector::Entry& a,
+                         const OutlierSelector::Entry& b) {
+      return b.key < a.key;  // descending under the total order
+    };
+    std::vector<OutlierSelector::Entry> entries = selectors[ci].Take();
+    // Select the exact top gamma_k, then canonically order just the
+    // survivors: the descending sort makes the compensated credit sum a
+    // pure function of the retained SET.
+    if (entries.size() > gamma[ci]) {
+      auto nth = entries.begin() + static_cast<std::ptrdiff_t>(gamma[ci]);
+      std::nth_element(entries.begin(), nth, entries.end(), desc);
+      entries.resize(static_cast<std::size_t>(gamma[ci]));
+    }
+    std::sort(entries.begin(), entries.end(), desc);
     KahanSum credit;
-    for (const OutlierHeap::Entry& entry : merged[ci]) {
+    for (const OutlierSelector::Entry& entry : entries) {
       credit.Add(entry.key.err2);
     }
-    const double eps = std::max(0.0, sse[ci] - credit.value());
-    residual[ci] = eps;
-    if (eps < best_eps) {
-      best_eps = eps;
+    residual[ci] = std::max(0.0, sse[ci] - credit.value());
+    top[ci] = std::move(entries);
+  });
+  std::size_t best_ci = 0;
+  double best_eps = std::numeric_limits<double>::infinity();
+  for (std::size_t ci = 0; ci < num_candidates; ++ci) {
+    if (residual[ci] < best_eps) {
+      best_eps = residual[ci];
       best_ci = ci;
     }
   }
+  std::vector<OutlierSelector::Entry> entries = std::move(top[best_ci]);
+  top = {};
   const std::size_t k_opt = candidate_ks[best_ci];
 
   // ---------------------------------------------------------------------
@@ -754,7 +697,6 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
   SvdModel svd(std::move(u), std::move(sv_opt), std::move(v_opt));
   svd.set_bytes_per_value(options.bytes_per_value);
 
-  std::vector<OutlierHeap::Entry> entries = std::move(merged[best_ci]);
   DeltaTable deltas(entries.size());
   deltas.set_entry_bytes(options.delta_bytes);
   if (options.bytes_per_value == 4 || options.quant != QuantScheme::kF64) {
@@ -798,6 +740,8 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
       static_cast<double>(k_opt));
   obs::MetricRegistry::Default().GetGauge("build.delta_count").Set(
       static_cast<double>(deltas.size()));
+  obs::MetricRegistry::Default().GetGauge("build.pass2_peak_entries").Set(
+      static_cast<double>(pass2_peak_entries));
   obs::MetricRegistry::Default().GetGauge("build.engine").Set(
       randomized ? 1.0 : 0.0);
   obs::MetricRegistry::Default().GetGauge("build.sketch_cols").Set(
@@ -812,6 +756,7 @@ StatusOr<SvddModel> BuildSvddModel(RowSource* source,
     diagnostics->k_max = k_max;
     diagnostics->k_opt = k_opt;
     diagnostics->delta_count = deltas.size();
+    diagnostics->pass2_peak_entries = pass2_peak_entries;
     diagnostics->candidate_ks = std::move(candidate_ks);
     diagnostics->candidate_sse = std::move(sse);
     diagnostics->candidate_residual_sse = std::move(residual);

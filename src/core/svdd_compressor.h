@@ -150,8 +150,9 @@ struct SvddBuildOptions {
   std::size_t forced_k = 0;
   /// Cap on the number of candidate k values evaluated in pass 2; the
   /// paper evaluates every k in 1..k_max, which is also our default (0).
-  /// Large scale-up runs can bound pass-2 memory by evaluating an evenly
-  /// spaced subset instead.
+  /// An evenly spaced subset trades a coarser k_opt search for fewer
+  /// per-cell error sweeps in pass 2 (an ablation and speed knob; pass-2
+  /// memory is bounded by the allowances either way).
   std::size_t max_candidates = 0;
   EigenSolverKind solver = EigenSolverKind::kHouseholderQl;
   /// Build the Bloom filter in front of the delta table.
@@ -188,6 +189,10 @@ struct SvddBuildDiagnostics {
   std::size_t k_max = 0;
   std::size_t k_opt = 0;
   std::uint64_t delta_count = 0;
+  /// Upper bound on the pass-2 outlier entries resident at once: every
+  /// candidate's selector at its largest plus the largest chunk's staged
+  /// cells. At most 1.25 * sum(gamma_k) plus one chunk's staging.
+  std::uint64_t pass2_peak_entries = 0;
   /// Candidate cut-offs evaluated (ascending).
   std::vector<std::size_t> candidate_ks;
   /// Total squared reconstruction error of plain SVD at each candidate.

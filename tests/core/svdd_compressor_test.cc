@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/metrics.h"
+#include "core/parallel_build.h"
 #include "data/generators.h"
 #include "util/rng.h"
 
@@ -186,6 +187,40 @@ TEST(SvddCompressorTest, MaxCandidatesBoundsEvaluation) {
   EXPECT_LE(diag.candidate_ks.size(), 5u);  // cap + forced k_max endpoint
   EXPECT_EQ(diag.candidate_ks.back(), diag.k_max);
   EXPECT_EQ(diag.candidate_ks.front(), 1u);
+}
+
+TEST(SvddCompressorTest, Pass2RetentionStaysNearAllowance) {
+  // Pass 2 keeps one top-gamma_k selector per candidate; each holds at
+  // most 1.25 * gamma_k entries (a 1024-entry floor for tiny gamma_k)
+  // next to one chunk's staged cells. Tier-1 has no RSS check, so this
+  // is what catches a pruning bound that goes stale and lets retention
+  // grow to a multiple of sum(gamma_k).
+  PhoneDatasetConfig config;
+  config.num_customers = 20000;
+  config.num_days = 366;
+  config.seed = 42;
+  const Matrix x = GeneratePhoneDataset(config).values;
+  MatrixRowSource source(&x);
+  SvddBuildOptions options;
+  options.space_percent = 5.0;
+  options.num_threads = 4;
+  SvddBuildDiagnostics diag;
+  const auto model = BuildSvddModel(&source, options, &diag);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+
+  std::uint64_t selector_bound = 0;
+  std::uint64_t gamma_sum = 0;
+  for (const std::uint64_t gamma : diag.candidate_delta_counts) {
+    gamma_sum += gamma;
+    if (gamma > 0) {
+      selector_bound += gamma + std::max<std::uint64_t>(gamma / 4, 1024);
+    }
+  }
+  const std::uint64_t chunk_staging = static_cast<std::uint64_t>(
+      kBuildChunkRows * x.cols() * diag.candidate_ks.size());
+  EXPECT_GT(diag.pass2_peak_entries, gamma_sum);
+  EXPECT_LE(diag.pass2_peak_entries, selector_bound + chunk_staging)
+      << "sum(gamma_k)=" << gamma_sum;
 }
 
 TEST(SvddCompressorTest, BloomFilterNeverChangesResults) {

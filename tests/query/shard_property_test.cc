@@ -301,7 +301,7 @@ TEST_P(ShardIdentityTest, DataApiAnswersAreBitIdenticalToUnsharded) {
   for (const std::size_t shards : kShardCounts) {
     const ShardedStore store = Split(model, shards, partition);
     const QueryExecutor sharded(static_cast<const CompressedStore*>(&store));
-    for (const std::string& group : {"sum", "avg", "min", "max"}) {
+    for (const char* group : {"sum", "avg", "min", "max"}) {
       const std::map<std::string, std::string> params = {
           {"after", "0"},
           {"before", std::to_string(model.cols() - 1)},

@@ -1,6 +1,7 @@
 #include "util/bounded_heap.h"
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -86,6 +87,43 @@ TEST_P(BoundedHeapPropertyTest, RetainsTopCapacityKeys) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, BoundedHeapPropertyTest,
                          ::testing::Values(0, 1, 2, 7, 50, 499, 500, 1000));
+
+TEST(BoundedTopSelectorTest, CapacityZeroRetainsNothing) {
+  BoundedTopSelector<double, int> selector(0);
+  selector.Offer(1.0, 1);
+  EXPECT_EQ(selector.size(), 0u);
+  EXPECT_FALSE(selector.HasCutoff());
+}
+
+/// Property: the retained superset always contains the exact top
+/// `capacity` keys, the buffer never grows past 1.25x capacity, and once
+/// a cutoff exists nothing below it is admitted.
+TEST(BoundedTopSelectorTest, RetainsTopCapacityWithinSlack) {
+  constexpr std::size_t kCapacity = 8000;
+  BoundedTopSelector<double, std::size_t> selector(kCapacity);
+  Rng rng(3);
+  std::vector<double> keys;
+  for (std::size_t i = 0; i < 50000; ++i) {
+    const double key = rng.UniformDouble(0, 1e6);
+    keys.push_back(key);
+    selector.Offer(key, i);
+  }
+  ASSERT_TRUE(selector.HasCutoff());
+  EXPECT_LE(selector.peak_size(), kCapacity + kCapacity / 4);
+  const double cutoff = selector.Cutoff();
+  const std::size_t before = selector.size();
+  selector.Offer(cutoff - 1.0, 0);
+  EXPECT_EQ(selector.size(), before);
+
+  std::vector<double> got;
+  for (const auto& entry : selector.Take()) got.push_back(entry.key);
+  EXPECT_EQ(selector.size(), 0u);
+  EXPECT_FALSE(selector.HasCutoff());
+  std::sort(got.begin(), got.end(), std::greater<double>());
+  std::sort(keys.begin(), keys.end(), std::greater<double>());
+  ASSERT_GE(got.size(), kCapacity);
+  for (std::size_t i = 0; i < kCapacity; ++i) EXPECT_EQ(got[i], keys[i]);
+}
 
 }  // namespace
 }  // namespace tsc
